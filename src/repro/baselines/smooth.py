@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import PrivacyParameterError
 from ..rng import RngLike, ensure_rng
@@ -45,6 +45,10 @@ class SmoothSensitivity:
         smooth term only decays.
     max_distance:
         Hard stop for pathological inputs.
+
+    ``ls_at_distance`` is a function of the data alone, so :meth:`value`
+    is cached per β: a mechanism that keeps one instance pays the scan
+    once per ε.
     """
 
     def __init__(
@@ -56,17 +60,22 @@ class SmoothSensitivity:
         self.ls_at_distance = ls_at_distance
         self.ls_cap = float(ls_cap)
         self.max_distance = int(max_distance)
+        self._values: Dict[float, float] = {}
 
     def value(self, beta: float) -> float:
         """``S*_β = max_s e^{-βs}·LS^{(s)}``."""
         if beta <= 0:
             raise PrivacyParameterError(f"beta must be positive, got {beta}")
+        cached = self._values.get(beta)
+        if cached is not None:
+            return cached
         best = 0.0
         for s in range(self.max_distance + 1):
             ls = float(self.ls_at_distance(s))
             best = max(best, math.exp(-beta * s) * ls)
             if ls >= self.ls_cap:
                 break
+        self._values[beta] = best
         return best
 
 

@@ -23,7 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, Set, Tuple
+
+import numpy as np
 
 from ..graphs.graph import Graph
 from ..rng import RngLike
@@ -90,8 +92,9 @@ def triangle_local_sensitivity_at_distance(
 class NRSTriangleMechanism:
     """ε-DP triangle counting via smooth sensitivity + Cauchy noise.
 
-    The per-graph pair statistics are computed once in ``__init__``; each
-    :meth:`run` then costs one smooth-max scan and one noise draw.
+    The per-graph pair statistics are computed once in ``__init__`` into
+    two int64 arrays, and the smooth bound is cached per ε, so a repeated
+    :meth:`run` costs one noise draw.
     """
 
     def __init__(self, graph: Graph, exact_pairs: bool = False):
@@ -105,29 +108,27 @@ class NRSTriangleMechanism:
             )
         else:
             pairs = _candidate_pairs(graph)
-        self._stats: List[Tuple[int, int]] = [
-            _pair_stats(graph, u, v) for u, v in pairs
-        ]
+        stats = [_pair_stats(graph, u, v) for u, v in pairs]
+        stats = np.array(stats, dtype=np.int64).reshape(-1, 2)
+        self._common = stats[:, 0]
+        self._one_sided = stats[:, 1]
+        self._smooth = SmoothSensitivity(self._ls_at_distance, ls_cap=self._cap)
         from ..subgraphs.counting import count_triangles
 
         self._true = float(count_triangles(graph))
 
     def _ls_at_distance(self, s: int) -> float:
-        best = 0
-        for a, b in self._stats:
-            value = min(a + (s + min(s, b)) // 2, self._cap)
-            if value > best:
-                best = value
-                if best >= self._cap:
-                    break
-        return float(best)
+        """``max_ij min(c_ij(s), n-2)`` over the pair statistics."""
+        if self._common.size == 0:
+            return 0.0
+        values = self._common + (s + np.minimum(s, self._one_sided)) // 2
+        return float(min(int(values.max()), self._cap))
 
     def run(self, epsilon: float, rng: RngLike = None) -> BaselineResult:
         """One ε-DP release of the triangle count."""
         start = time.perf_counter()
-        smooth = SmoothSensitivity(self._ls_at_distance, ls_cap=self._cap)
         result = cauchy_noise_release(
-            self._true, smooth, epsilon, rng=rng, mechanism="nrs-triangle"
+            self._true, self._smooth, epsilon, rng=rng, mechanism="nrs-triangle"
         )
         result.seconds = time.perf_counter() - start
         return result

@@ -14,9 +14,9 @@ practical (Theorem 6).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..errors import MechanismError
+from ..errors import LPError, MechanismError
 from ..relax.encode import EncodedRelation
 from ..rng import RngLike
 from .framework import MechanismResult, RecursiveMechanismBase, _index_key
@@ -183,6 +183,13 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         #: EncodedRelation.solve_g_uniform for the neighbor-consistency
         #: caveat — pass the query-derived constant for strict ε-DP).
         self.s_bar = s_bar
+        #: The X-step envelope: integral minimiser ``t`` of Eq. 20 →
+        #: ``(smallest Δ̂, largest Δ̂, H_t)`` over the certified LP solves
+        #: that returned ``i' = t`` (see :meth:`_compute_x`).
+        self._x_intervals: Dict[int, Tuple[float, float, float]] = {}
+        #: Neighbour pairs ``(a, b)`` whose crossing probe found only a
+        #: fractional piece of ``X_rel`` between them (see :meth:`_probe_gap`).
+        self._x_open_gaps: Set[Tuple[int, int]] = set()
 
     # -- framework plumbing -------------------------------------------------------
     @property
@@ -242,7 +249,32 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         return self._encoded.true_answer()
 
     def _compute_x(self, delta_hat: float) -> Tuple[float, float]:
-        """Eq. 12 via Eq. 20: one LP plus at most two cached H-entries."""
+        """Eq. 12 via Eq. 20: one LP plus at most two cached H-entries.
+
+        ``X_rel(Δ̂) = min_t H(t) + (|P|−t)·Δ̂`` is concave and piecewise
+        linear in Δ̂ (Lemma 10).  If the LP returned the integral minimiser
+        ``i' = t`` at two values of Δ̂, concavity forces
+        ``X_rel = H_t + (|P|−t)·Δ̂`` everywhere between them, and ``t`` is
+        then also the integer argmin.  So each certified solve widens the
+        envelope interval of its ``t``, and a Δ̂ inside an interval is
+        answered from the cached ``H_t`` with no LP — the same float
+        expression and index the LP path computes.  ``X_rel`` is
+        nondecreasing and bounded by ``H_{|P|}``, so the interval of
+        ``t = |P|`` extends to ``+∞``.  A Δ̂ between two intervals first
+        tries to close that gap by probing (:meth:`_probe_gap`); every
+        other Δ̂ solves the LP.
+        """
+        hit = self._envelope(delta_hat)
+        if hit is None and self._x_intervals:
+            hit = self._probe_gap(delta_hat)
+        if hit is not None:
+            return hit
+        best_value, best_index, _ = self._solve_x(delta_hat)
+        return best_value, best_index
+
+    def _solve_x(self, delta_hat: float) -> Tuple[float, float, float]:
+        """The LP path: ``(X, x_index, relaxed X)`` at Δ̂; a certified
+        solve widens the interval of its ``t``."""
         n = self.num_participants
         relaxed_value, i_prime = self._encoded.solve_x_relaxation(delta_hat)
         candidates = sorted(
@@ -269,7 +301,93 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                 "convexity violation in X computation: integer value "
                 f"{best_value} below relaxed value {relaxed_value}"
             )
-        return best_value, best_index
+        if best_index == i_prime and abs(best_value - relaxed_value) <= slack:
+            # certified: i' is integral, it is the integer argmin, and the
+            # relaxed and integer values agree — widen t's interval
+            t = int(i_prime)
+            lo, hi, _ = self._x_intervals.get(t, (delta_hat, delta_hat, None))
+            hi = math.inf if t == n else max(hi, delta_hat)
+            self._x_intervals[t] = (min(lo, delta_hat), hi, self.h_entry(t))
+        return best_value, best_index, relaxed_value
+
+    def _envelope(self, delta_hat: float) -> Optional[Tuple[float, float]]:
+        """``(X, x_index)`` from the interval holding Δ̂, or None."""
+        n = self.num_participants
+        # list() copies under the GIL: a concurrent recording cannot
+        # resize the dict mid-scan (a lost widening only costs hits)
+        for t, (lo, hi, h_value) in list(self._x_intervals.items()):
+            if lo <= delta_hat <= hi:
+                return h_value + (n - t) * delta_hat, float(t)
+        return None
+
+    def _probe_gap(self, delta_hat: float) -> Optional[Tuple[float, float]]:
+        """Certify the gap holding Δ̂ by probing where its sides cross.
+
+        The gap lies between the intervals of ``a`` (below Δ̂) and ``b``
+        (above it); a missing side is the line of ``t = 0`` or
+        ``t = |P|``.  The two lines cross at ``Δ* = (H_b − H_a)/(b − a)``.
+        If the LP at ``Δ*`` attains them there, concavity gives
+        ``X_rel = H_a + (|P|−a)·Δ̂`` from ``a``'s interval up to ``Δ*`` and
+        the line of ``b`` from ``Δ*`` on, with a unique minimiser inside
+        each piece (a line touching ``X_rel`` there has the same slope);
+        for ``a = 0`` (``b = |P|``) the piece reaches down to 0 (up to
+        ``+∞``), as no line is steeper (flatter).  Otherwise the probe is
+        a certified solve at ``Δ*`` of a piece in between, which splits
+        the gap, and the half holding Δ̂ is probed next; a gap whose probe
+        finds no integral piece is left open for the LP path.  Each probe
+        either closes a gap or records a piece, so the probes over a
+        mechanism's life are bounded by twice its integral pieces.
+
+        A gap between ``a`` and ``b = a + 1`` needs no probe: the LP's
+        ``i'`` is nondecreasing in Δ̂ (exchange the optimal solutions at
+        two values of Δ̂), so it stays in ``[a, b]`` across the gap, and
+        the LP path's answer is the smaller of the two lines, ties to
+        ``a`` — also where the piece between them is fractional.
+
+        Returns ``(X, x_index)`` once Δ̂ is covered, else None.
+        """
+        n = self.num_participants
+        while True:
+            intervals = dict(self._x_intervals)
+            below = [(hi, t) for t, (_, hi, _) in intervals.items() if hi < delta_hat]
+            above = [(lo, t) for t, (lo, _, _) in intervals.items() if lo > delta_hat]
+            a = max(below)[1] if below else 0
+            b = min(above)[1] if above else n
+            if a >= b:
+                return None
+            h_a, h_b = self.h_entry(a), self.h_entry(b)
+            if b - a == 1:
+                # i' stays in [a, b] across the gap, so the LP path's
+                # candidates are a and b: answer from their two lines
+                value_a = h_a + (n - a) * delta_hat
+                value_b = h_b + (n - b) * delta_hat
+                return (value_b, float(b)) if value_b < value_a else (value_a, float(a))
+            if (a, b) in self._x_open_gaps:
+                return None
+            crossing = (h_b - h_a) / (b - a)
+            start = intervals[a][1] if below else 0.0
+            end = intervals[b][0] if above else math.inf
+            value = None
+            if start <= crossing <= end:
+                try:
+                    _, _, value = self._solve_x(crossing)
+                except (LPError, MechanismError):  # the LP path reports it
+                    pass
+            if value is None:
+                self._x_open_gaps.add((a, b))
+                return None
+            line = h_a + (n - a) * crossing
+            if abs(value - line) <= 1e-6 * max(1.0, abs(value)) + 1e-9 * n:
+                # a sentinel side has no interval yet: it starts at 0 / +∞
+                lo_a = intervals[a][0] if a in intervals else 0.0
+                hi_b = intervals[b][1] if b in intervals else math.inf
+                self._x_intervals[a] = (lo_a, crossing, h_a)
+                self._x_intervals[b] = (crossing, hi_b, h_b)
+                return self._envelope(delta_hat)
+            if self._x_intervals.keys() == intervals.keys():
+                # the piece at Δ* is fractional: nothing splits the gap
+                self._x_open_gaps.add((a, b))
+                return None
 
     # -- diagnostics ---------------------------------------------------------------
     @property

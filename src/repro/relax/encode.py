@@ -112,7 +112,9 @@ class EncodedRelation:
                 )
             if weight == 0:
                 continue
-            unknown = expr.variables() - set(self._pindex)
+            # difference() probes the dict per variable: O(|vars|), where
+            # `- set(...)` or `- keys()` walk every participant
+            unknown = expr.variables().difference(self._pindex)
             if unknown:
                 raise LPError(
                     f"annotation references unknown participants {sorted(unknown)}"

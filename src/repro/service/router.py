@@ -762,7 +762,6 @@ class ServiceRouter:
             # Only *granted* requests advance the tenant's seed stream, so
             # refusals never shift later answers.
             lane.granted[user] += 1
-        entry = future.entry
         lane.enter_flight()
         try:
             if future.done():
@@ -778,6 +777,7 @@ class ServiceRouter:
         except Exception as error:
             # Admission already spent the budget (side-channel safety);
             # report the failure with the ledger index it occupies.
+            entry = future.entry
             return error_frame(
                 request_id,
                 ERR_FAILED,
@@ -788,6 +788,7 @@ class ServiceRouter:
             )
         finally:
             lane.exit_flight()
+        entry = future.entry  # read once completed: status is final
         payload = ResultFrame(
             answer=float(result.answer),
             label=entry.label,

@@ -24,13 +24,24 @@ each user's releases compose sequentially against that user's own cap
 *and* the shared global cap, and a refusal says which of the two was hit
 (:attr:`BudgetExhausted.user` carries the tenant).
 
-The spent totals are computed with :func:`math.fsum` over the ledger, so
-sequential composition sums exactly (no drift from incremental ``+=``).
+The ledger is one append-only columnar store (:class:`_LedgerStore`):
+fixed-width columns for the numbers, intern-table codes for the strings
+and query tasks, and one object column for the seeds, so a release costs
+a few dozen bytes however long the session serves.  Entries are
+materialized as :class:`LedgerEntry` objects on read.
+
+The spent totals are exact: Shewchuk partials (the state
+:func:`math.fsum` keeps) per ledger and per user are grown on every
+commit, and :func:`math.fsum` of the partials is the correctly rounded
+sum of every charge — bit-identical to summing the ledger from scratch,
+with no drift from incremental ``+=`` and no rescan per budget check.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -177,6 +188,234 @@ class Reservation:
         self._release_hold()
 
 
+#: ``extra`` keys with a column of their own; any other key spills.
+_COLUMN_EXTRAS = frozenset(("task", "lp_backend", "version"))
+#: Flag bits of the ``flags`` column.
+_CACHE_HIT = 1
+_HAS_ANSWER = 2
+#: Marks an ``extra`` key the entry did not carry.
+_MISSING = object()
+
+
+def _fsum_add(partials: List[float], x: float) -> List[float]:
+    """Shewchuk partials of ``sum(partials) + x``, as a new list.
+
+    The partials are nonoverlapping floats whose exact sum is the exact
+    sum of every addend, which is what :func:`math.fsum` keeps
+    internally, so ``math.fsum(partials)`` is the correctly rounded total,
+    bit-identical to ``math.fsum`` over the addends themselves.  A new
+    list (not an in-place update) keeps concurrent readers consistent.
+    """
+    grown = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            grown.append(lo)
+        x = hi
+    grown.append(x)
+    return grown
+
+
+class _Interner:
+    """Append-only table of distinct values, addressed by dense codes."""
+
+    __slots__ = ("_codes", "values")
+
+    def __init__(self):
+        self._codes: Dict[Any, int] = {}
+        self.values: List[Any] = []
+
+    def code(self, key, value=_MISSING) -> int:
+        """The code of ``key`` (``value`` is what the code reads back as,
+        ``key`` itself by default); new keys get the next code."""
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.values)
+            self.values.append(key if value is _MISSING else value)
+        return code
+
+
+class _Spill:
+    """Object-column payload of a row that does not fit the columns."""
+
+    __slots__ = ("seed", "shape", "extra")
+
+    def __init__(self, seed, shape, extra):
+        self.seed = seed
+        #: ``(mechanism, query, user, task, lp_backend)`` when unhashable
+        self.shape = shape
+        #: ``extra`` items without a column (e.g. update deltas)
+        self.extra = extra
+
+
+def _frozen(value):
+    """A hashable key for ``value`` that is equal only for equal values of
+    equal types (so ``1`` and ``1.0`` never share an intern slot); tuples
+    are walked and dicts enter as sorted items.  Raises TypeError for an
+    unhashable part."""
+    if type(value) is dict:
+        items = tuple(sorted(value.items()))
+        return dict, items, tuple([type(item) for _, item in items])
+    if type(value) is tuple:
+        return tuple, tuple(map(_frozen, value))
+    return type(value), value
+
+
+class _LedgerStore:
+    """The append-only columnar ledger behind :class:`BudgetAccountant`.
+
+    One row per entry: fixed-width columns for ε, answer, seconds, graph
+    version, status and flags; intern-table codes for the label and the
+    entry's *shape* (mechanism, query, user, task and LP backend, which
+    repeat across releases); and one object column for the seed.  A label
+    equal to the row's auto-label ``q{index}`` is stored as ``-1`` and
+    derived on read.  Rows that carry anything else (update deltas,
+    unknown ``extra`` keys, unhashable tasks) keep it in a :class:`_Spill`
+    in the object column.  Appends and in-place completions (pending
+    submissions) take a lock; reads see every row whose object column
+    entry, appended last, exists.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._epsilon = array("d")
+        self._answer = array("d")
+        self._seconds = array("d")
+        self._version = array("q")  # -1: no version
+        self._status = array("H")
+        self._flags = array("B")
+        self._label = array("i")  # -1: the auto-label q{index}
+        self._shape = array("i")  # -1: the shape is spilled
+        self._objects: List[Any] = []
+        self._strings = _Interner()
+        self._statuses = _Interner()
+        self._shapes = _Interner()
+        self._partials: List[float] = []
+        self._user_partials: Dict[Optional[str], List[float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def append(self, entry: LedgerEntry) -> int:
+        """Store ``entry`` as the next row; returns its index."""
+        extra = entry.extra
+        spilled = {}
+        if not extra.keys() <= _COLUMN_EXTRAS:
+            spilled = {k: v for k, v in extra.items() if k not in _COLUMN_EXTRAS}
+        version = extra.get("version", -1)
+        if type(version) is not int or version < 0:
+            if "version" in extra:
+                spilled["version"] = version
+            version = -1
+        shape = (
+            entry.mechanism,
+            entry.query,
+            entry.user,
+            extra.get("task", _MISSING),
+            extra.get("lp_backend", _MISSING),
+        )
+        epsilon = float(entry.epsilon)
+        flags = _CACHE_HIT if entry.cache_hit else 0
+        if entry.answer is not None:
+            flags |= _HAS_ANSWER
+        with self._lock:
+            index = len(self._objects)
+            # every code first: a failure must not leave a partial row
+            label = entry.label
+            label = -1 if label == f"q{index}" else self._strings.code(label)
+            status = self._statuses.code(entry.status)
+            try:
+                shape_code = self._shapes.code(_frozen(shape), shape)
+                shape = None
+            except TypeError:  # an unhashable part: the row keeps its own
+                shape_code = -1
+            self._epsilon.append(epsilon)
+            self._answer.append(0.0 if entry.answer is None else entry.answer)
+            self._seconds.append(entry.seconds)
+            self._version.append(version)
+            self._status.append(status)
+            self._flags.append(flags)
+            self._label.append(label)
+            self._shape.append(shape_code)
+            self._partials = _fsum_add(self._partials, epsilon)
+            user_partials = self._user_partials.get(entry.user, [])
+            self._user_partials[entry.user] = _fsum_add(user_partials, epsilon)
+            self._objects.append(
+                _Spill(entry.seed, shape, spilled)
+                if spilled or shape is not None
+                else entry.seed
+            )
+        return index
+
+    def settle(
+        self, index: int, status: str, answer: Optional[float], seconds: float
+    ) -> None:
+        """Complete row ``index`` in place (a pending submission)."""
+        with self._lock:
+            flags = self._flags[index] & ~_HAS_ANSWER
+            if answer is not None:
+                self._answer[index] = answer
+                flags |= _HAS_ANSWER
+            self._flags[index] = flags
+            self._status[index] = self._statuses.code(status)
+            self._seconds[index] = seconds
+
+    def entry(self, index: int) -> LedgerEntry:
+        """Row ``index`` materialized as a :class:`LedgerEntry`."""
+        seed = self._objects[index]
+        code = self._shape[index]
+        spilled = None
+        if type(seed) is _Spill:
+            spilled = seed
+            seed = spilled.seed
+        if code < 0:
+            mechanism, query, user, task, lp_backend = spilled.shape
+        else:
+            mechanism, query, user, task, lp_backend = self._shapes.values[code]
+        extra: Dict[str, Any] = {}
+        if task is not _MISSING:
+            extra["task"] = task
+        if lp_backend is not _MISSING:
+            extra["lp_backend"] = lp_backend
+        if self._version[index] >= 0:
+            extra["version"] = self._version[index]
+        if spilled is not None:
+            extra.update(spilled.extra)
+        label = self._label[index]
+        flags = self._flags[index]
+        return LedgerEntry(
+            index=index,
+            label=f"q{index}" if label < 0 else self._strings.values[label],
+            mechanism=mechanism,
+            query=query,
+            epsilon=self._epsilon[index],
+            seed=seed,
+            answer=self._answer[index] if flags & _HAS_ANSWER else None,
+            status=self._statuses.values[self._status[index]],
+            cache_hit=bool(flags & _CACHE_HIT),
+            seconds=self._seconds[index],
+            user=user,
+            extra=extra,
+        )
+
+    def entries(self) -> List[LedgerEntry]:
+        """Every row, materialized, in release order."""
+        return [self.entry(index) for index in range(len(self))]
+
+    def spent(self) -> float:
+        return math.fsum(self._partials)
+
+    def user_spent(self, user: Optional[str]) -> float:
+        return math.fsum(self._user_partials.get(user, ()))
+
+    def users(self) -> set:
+        """Every user any row names (``None`` included)."""
+        return set(self._user_partials)
+
+
 class BudgetAccountant:
     """Hard-capped sequential-composition (pure ε) accountant with a ledger.
 
@@ -195,14 +434,14 @@ class BudgetAccountant:
 
     def __init__(self, budget: Optional[float] = None):
         self.budget = None if budget is None else validate_epsilon(budget, "budget")
-        self._ledger: List[LedgerEntry] = []
+        self._ledger = _LedgerStore()
         self._reservations: List[Reservation] = []
 
     # -- bookkeeping -----------------------------------------------------------
     @property
     def spent(self) -> float:
-        """Exact (``math.fsum``) total ε charged so far."""
-        return math.fsum(entry.epsilon for entry in self._ledger)
+        """Exact (``math.fsum``) total ε charged so far, in O(1)."""
+        return self._ledger.spent()
 
     @property
     def reserved(self) -> float:
@@ -219,8 +458,24 @@ class BudgetAccountant:
 
     @property
     def ledger(self) -> Tuple[LedgerEntry, ...]:
-        """The audit log, in release order (a defensive copy)."""
-        return tuple(self._ledger)
+        """The audit log, in release order (materialized entries)."""
+        return tuple(self._ledger.entries())
+
+    def entry(self, index: int) -> LedgerEntry:
+        """The ledger entry at ``index``, materialized as it is now."""
+        return self._ledger.entry(index)
+
+    def settle(
+        self,
+        index: int,
+        status: str,
+        answer: Optional[float] = None,
+        seconds: float = 0.0,
+    ) -> None:
+        """Complete a ``"pending"`` entry in place: its final status,
+        answer (``None`` for a failure) and release seconds.  The ε it
+        charged is untouched."""
+        self._ledger.settle(index, status, answer, seconds)
 
     def __len__(self) -> int:
         return len(self._ledger)
@@ -308,8 +563,7 @@ class BudgetAccountant:
         return self._append(entry)
 
     def _append(self, entry: LedgerEntry) -> LedgerEntry:
-        entry.index = len(self._ledger)
-        self._ledger.append(entry)
+        entry.index = self._ledger.append(entry)
         return entry
 
     # -- per-user introspection (trivial in the single-tenant base) ------------
@@ -318,8 +572,8 @@ class BudgetAccountant:
         return None
 
     def user_spent(self, user: Optional[str]) -> float:
-        """Exact total ε charged to ``user`` so far."""
-        return math.fsum(entry.epsilon for entry in self._ledger if entry.user == user)
+        """Exact total ε charged to ``user`` so far, in O(1)."""
+        return self._ledger.user_spent(user)
 
     def user_remaining(self, user: Optional[str]) -> Optional[float]:
         """ε left in ``user``'s sub-budget (``None`` = uncapped)."""
@@ -327,12 +581,12 @@ class BudgetAccountant:
 
     def users(self) -> Tuple[str, ...]:
         """Every tenant that appears in the ledger or holds a reservation."""
-        seen = {e.user for e in self._ledger} | {r.user for r in self._reservations}
+        seen = self._ledger.users() | {r.user for r in self._reservations}
         return tuple(sorted(user for user in seen if user is not None))
 
     def audit_log(self) -> List[Dict[str, Any]]:
         """The ledger as JSON-friendly dicts (for export / inspection)."""
-        return [entry.to_dict() for entry in self._ledger]
+        return [entry.to_dict() for entry in self._ledger.entries()]
 
 
 class HierarchicalAccountant(BudgetAccountant):
@@ -405,9 +659,11 @@ class HierarchicalAccountant(BudgetAccountant):
         return cap - math.fsum([self.user_spent(user), self.user_reserved(user)])
 
     def users(self) -> Tuple[str, ...]:
-        seen = set(self._user_budgets) | {e.user for e in self._ledger} | {
-            r.user for r in self._reservations
-        }
+        seen = (
+            set(self._user_budgets)
+            | self._ledger.users()
+            | {r.user for r in self._reservations}
+        )
         return tuple(sorted(user for user in seen if user is not None))
 
     def _refusal(self, epsilon, user):

@@ -111,15 +111,24 @@ class QueryFuture:
 
     def __init__(
         self,
-        entry: LedgerEntry,
+        accountant: BudgetAccountant,
+        index: int,
         value: Optional[ResultBase] = None,
         async_result=None,
         error: Optional[BaseException] = None,
     ):
-        self.entry = entry
+        self._accountant = accountant
+        #: The query's position in the session ledger.
+        self.index = index
         self._value = value
         self._async = async_result
         self._error = error
+
+    @property
+    def entry(self) -> LedgerEntry:
+        """The query's ledger entry as it stands now (pending until the
+        release completes)."""
+        return self._accountant.entry(self.index)
 
     def done(self) -> bool:
         """Whether the result (or failure) is already available."""
@@ -669,8 +678,9 @@ class PrivateSession:
             )
         # Charged at submission: the noisy answer *will* exist (refusing
         # to pay on a crash would itself be a side channel).
-        reservation.commit(entry)
+        index = reservation.commit(entry).index
         obs_metrics().counter("repro_budget_committed_total").inc()
+        settle = self.accountant.settle
         start = time.perf_counter()
 
         if not pooled:
@@ -686,23 +696,19 @@ class PrivateSession:
                         epsilon, np.random.default_rng(seed), params=params
                     )
             except Exception as error:
-                entry.status = "failed"
-                entry.seconds = time.perf_counter() - start
-                return QueryFuture(entry, error=error)
-            entry.answer = float(result.answer)
-            entry.status = "released"
-            entry.seconds = time.perf_counter() - start
-            obs_metrics().histogram("repro_release_seconds").observe(entry.seconds)
-            return QueryFuture(entry, value=result)
+                settle(index, "failed", seconds=time.perf_counter() - start)
+                return QueryFuture(self.accountant, index, error=error)
+            seconds = time.perf_counter() - start
+            settle(index, "released", float(result.answer), seconds)
+            obs_metrics().histogram("repro_release_seconds").observe(seconds)
+            return QueryFuture(self.accountant, index, value=result)
 
         def _on_done(result: ResultBase) -> None:
-            entry.answer = float(result.answer)
-            entry.status = "released"
-            entry.seconds = time.perf_counter() - start
+            seconds = time.perf_counter() - start
+            settle(index, "released", float(result.answer), seconds)
 
         def _on_error(_error: BaseException) -> None:
-            entry.status = "failed"
-            entry.seconds = time.perf_counter() - start
+            settle(index, "failed", seconds=time.perf_counter() - start)
 
         task = (
             query,
@@ -727,7 +733,7 @@ class PrivateSession:
             async_result = self._ensure_pool(workers).submit(
                 task, callback=_on_done, error_callback=_on_error
             )
-        return QueryFuture(entry, async_result=async_result)
+        return QueryFuture(self.accountant, index, async_result=async_result)
 
     def _ensure_pool(self, workers: int) -> WorkerPool:
         """The shared worker pool, forked on first use."""

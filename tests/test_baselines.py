@@ -122,6 +122,19 @@ class TestNRSTriangles:
         truth = count_triangles(medium_graph)
         assert abs(np.median(answers) - truth) / truth < 0.5
 
+    def test_answers_byte_identical_at_fixed_seed(self, medium_graph):
+        # released by the pre-vectorization per-pair scan at this seed;
+        # the cached, vectorized smooth bound must reproduce every bit
+        mech = NRSTriangleMechanism(medium_graph)
+        rng = np.random.default_rng(2)
+        answers = [mech.run(eps, rng).answer.hex() for eps in (0.5, 1.0, 2.0, 1.0)]
+        assert answers == [
+            "0x1.d3c12e1c9bcfdp+6",
+            "0x1.2e4fb566f8856p+7",
+            "0x1.5330333ac177ap+7",
+            "0x1.0a5e7641586d4p+7",
+        ]
+
     def test_empty_graph(self):
         mech = NRSTriangleMechanism(Graph(nodes=[0, 1]))
         result = mech.run(1.0, rng=0)

@@ -149,6 +149,9 @@ class TestSolveH:
     def test_unknown_participant_rejected(self):
         with pytest.raises(LPError):
             encode_relation(["a"], [(parse("a & b"), 1.0)])
+        message = r"^annotation references unknown participants \['b', 'c'\]$"
+        with pytest.raises(LPError, match=message):
+            encode_relation(["a", "d"], [(Var("a"), 1.0), (parse("c & a & b"), 1.0)])
 
     def test_duplicate_participants_rejected(self):
         with pytest.raises(LPError):

@@ -1,20 +1,28 @@
 """Tests for the session serving layer: accountant, cache, futures, replay."""
 
+import dataclasses
+import gc
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     PrivateSession,
     RecursiveMechanismParams,
+    VersionedGraph,
     private_subgraph_count,
     random_graph_with_avg_degree,
     triangle,
 )
 from repro.core import EfficientRecursiveMechanism
 from repro.core.queries import WeightedQuery
-from repro.errors import PrivacyParameterError, SessionError
+from repro.errors import GraphError, PrivacyParameterError, SessionError
+from repro.service import BackgroundService, ServiceClient
 from repro.session import (
     BudgetAccountant,
     BudgetExhausted,
@@ -451,3 +459,147 @@ class TestSessionContextManager:
             session.query(triangle(), privacy="edge", epsilon=0.1)
         # ledger still readable after close
         assert len(session.ledger) == 1
+
+
+class TestColumnarLedger:
+    """The columnar ledger: exact O(1) totals and unchanged audit output."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["commit", "rollback", "charge", "record"]),
+                st.sampled_from([None, "alice", "bob"]),
+                st.one_of(
+                    st.floats(1e-12, 1e-6),
+                    st.floats(1e-3, 10.0),
+                    st.sampled_from([0.1, 0.2, 0.3, 1 / 3]),
+                ),
+            ),
+            max_size=60,
+        )
+    )
+    def test_totals_match_fsum_over_the_ledger(self, operations):
+        accountant = HierarchicalAccountant()
+        for action, user, epsilon in operations:
+            if action == "record":
+                entry = LedgerEntry(0, "u", "-", "update", 0.0, user=user)
+                accountant.record(entry)
+            elif action == "charge":
+                entry = LedgerEntry(0, "c", "m", "q", epsilon, user=user)
+                accountant.charge(entry)
+            else:
+                reservation = accountant.reserve(epsilon, user=user)
+                if action == "rollback":
+                    reservation.rollback()
+                else:
+                    reservation.commit(LedgerEntry(0, "r", "m", "q", epsilon))
+            ledger = accountant.ledger
+            assert accountant.spent == math.fsum(e.epsilon for e in ledger)
+            for name in (None, "alice", "bob"):
+                want = math.fsum(e.epsilon for e in ledger if e.user == name)
+                assert accountant.user_spent(name) == want
+
+    def test_audit_and_replay_identity_over_a_mixed_ledger(self):
+        """Releases, a failure, updates (one failed), several users,
+        custom and auto labels and pending→released submissions: the
+        materialized ledger equals the entries as they were committed
+        (and completed), and replay still verifies."""
+
+        class MirrorAccountant(HierarchicalAccountant):
+            """Keeps a copy of every entry as committed, completed in
+            step with the store (the pre-columnar list ledger)."""
+
+            def __init__(self):
+                super().__init__()
+                self.mirror = []
+
+            def _append(self, entry):
+                entry = super()._append(entry)
+                self.mirror.append(dataclasses.replace(entry, extra=dict(entry.extra)))
+                return entry
+
+            def settle(self, index, status, answer=None, seconds=0.0):
+                super().settle(index, status, answer, seconds)
+                self.mirror[index].status = status
+                self.mirror[index].answer = answer
+                self.mirror[index].seconds = seconds
+
+        graph = VersionedGraph(random_graph_with_avg_degree(24, 6, rng=4))
+        accountant = MirrorAccountant()
+        with PrivateSession(graph, rng=11, accountant=accountant) as session:
+            session.query("triangle", privacy="edge", epsilon=0.5, user="alice")
+            session.query(
+                "2-star", privacy="node", epsilon=0.25, label="stars", user="bob"
+            )
+            pending = session.submit("triangle", privacy="edge", epsilon=0.5, rng=9)
+            session.apply_update([{"action": "add_edge", "u": 0, "v": 23}])
+            session.query("triangle", privacy="edge", epsilon=0.5, label="q0")
+            session.query("triangle", privacy="edge", epsilon=0.5, at_version=0)
+            prepared = session.prepared("triangle", privacy="edge")
+            prepared.release = _raise_release
+            failed = session.submit(
+                "triangle", privacy="edge", epsilon=0.125, user="bob"
+            )
+            del prepared.release
+            with pytest.raises(GraphError):
+                session.apply_update([{"action": "remove_node", "node": "nope"}])
+            accountant.record(
+                LedgerEntry(0, "note", "-", "note", 0.0, extra={"why": ["x"]})
+            )
+            # unhashable and non-integer column values keep their own copy
+            raw = {"task": [1], "version": None}
+            accountant.record(LedgerEntry(0, "raw", "-", "raw", 0.0, extra=raw))
+            assert pending.entry.status == "released"
+            assert pending.result().answer == pending.entry.answer
+            assert failed.entry.status == "failed"
+            with pytest.raises(RuntimeError):
+                failed.result()
+            ledger = session.ledger
+            assert ledger == tuple(accountant.mirror)
+            assert [e.status for e in ledger] == [
+                "released",
+                "released",
+                "released",
+                "update",
+                "released",
+                "released",
+                "failed",
+                "update-failed",
+                "released",
+                "released",
+            ]
+            assert [e.label for e in ledger][:5] == ["q0", "stars", "q2", "u3", "q0"]
+            assert session.audit_log() == [e.to_dict() for e in accountant.mirror]
+            assert json.dumps(session.audit_log(), default=str)
+            assert accountant.users() == ("alice", "bob")
+            assert session.verify_ledger()
+
+    def test_wire_releases_retain_under_100_bytes_each(self, graph):
+        """A warm wire release leaves one ledger row on the server and
+        nothing else: at most 100 B each over 5k releases."""
+        releases = 5000
+        session = PrivateSession(graph, rng=7, accountant=HierarchicalAccountant())
+        with BackgroundService(session, seed=11) as bg:
+            with ServiceClient(bg.address, user="analyst") as client:
+                for seed in range(200):  # prime: compile, Δ, the envelope
+                    client.query("triangle", epsilon=1.0, privacy="edge", seed=seed)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.take_snapshot()
+                    for seed in range(releases):
+                        client.query(
+                            "triangle", epsilon=1.0, privacy="edge", seed=10**6 + seed
+                        )
+                    gc.collect()
+                    after = tracemalloc.take_snapshot()
+                finally:
+                    tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert len(session.ledger) == releases + 200
+        assert retained / releases <= 100
+
+
+def _raise_release(*_args, **_kwargs):
+    raise RuntimeError("release failed")
