@@ -17,6 +17,7 @@ import math
 from typing import Dict, Optional, Set, Tuple
 
 from ..errors import LPError, MechanismError
+from ..obs import metrics as obs_metrics
 from ..relax.encode import EncodedRelation
 from ..rng import RngLike
 from .framework import MechanismResult, RecursiveMechanismBase, _index_key
@@ -93,10 +94,8 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         supports it (default).  ``False`` forces the legacy
         clone-and-rebuild LP path (ablations / equivalence tests).
     workers:
-        Worker processes for the parallel solve paths: batched H entries
-        fan across a pool forked after compilation, and undecided Δ
-        probes race their two formulations in separate processes
-        (first decided wins).  The default ``1`` stays fully in-process;
+        Worker processes for batched H entries, which fan across a pool
+        forked after compilation.  The default ``1`` stays fully in-process;
         ``None`` resolves ``$REPRO_WORKERS`` / CPU count
         (:func:`repro.parallel.pool.resolve_workers`).  Released answers
         are byte-identical for any worker count at a fixed seed.
@@ -211,22 +210,25 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         return self._encoded.solve_g(i)
 
     def _g_predicate(self, i: int, threshold: float) -> bool:
-        """``G_i ≤ threshold`` via a cost cascade, exact at every step.
+        """``G_i ≤ threshold``, exact at every step.
 
         1. ``G`` is convex and nondecreasing in ``i`` (the LP value as a
            function of the mass RHS), so chords between known exact
            entries upper-bound it and outward secants lower-bound it —
            both decide the predicate with no LP at all.
-        2. Otherwise a feasibility probe (z pinned at ``threshold/2``)
-           races the exact min-max solve under doubling iteration budgets
-           (``CompiledProgram.solve_g_decide``) — whichever formulation
-           is cheap on this structure wins.
-        3. Every exact entry that does get computed (endpoints are closed
-           forms, race wins are returned) permanently tightens the bounds
-           for later probes.
+        2. Otherwise one exact ``G_i`` solve decides it
+           (``CompiledProgram.solve_g_decide``; the G model resumes from
+           the basis of the previous probe).
+        3. Every exact entry (endpoints are closed forms) is cached and
+           tightens the bounds for later probes.
+
+        Each call adds one to ``repro_delta_predicates_total`` labelled
+        ``decided="bound"`` or ``decided="lp"``.
         """
+        registry = obs_metrics()
         if self.bounding == "uniform":
             # Ĝ = 2·S̄·H — one (cheap) H solve; keep the exact entry cached
+            registry.counter("repro_delta_predicates_total", decided="lp").inc()
             return self.g_entry(i) <= threshold
         # endpoints are closed forms — seed the bound cache for free
         self.g_entry(0)
@@ -234,15 +236,29 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         known = sorted(self._g_cache.items())
         upper = _convex_upper(known, i)
         if upper is not None and upper <= threshold:
-            return True
-        if _convex_lower(known, i) > threshold:
-            return False
-        decided, value = self._encoded.g_decide(i, threshold, workers=self.workers)
-        if value is not None:
-            # the exact strand won the race — keep the entry so it
-            # tightens the convexity bounds for later probes
-            self._g_cache[_index_key(i)] = float(value)
+            decided = True
+        elif _convex_lower(known, i) > threshold:
+            decided = False
+        else:
+            registry.counter("repro_delta_predicates_total", decided="lp").inc()
+            decided, value = self._encoded.g_decide(i, threshold)
+            if value is not None:
+                self._g_cache[_index_key(i)] = float(value)
+            return decided
+        registry.counter("repro_delta_predicates_total", decided="bound").inc()
         return decided
+
+    def compute_delta(self, params: RecursiveMechanismParams) -> Tuple[float, int]:
+        """Eq. 11 (see the base class).  The G model's retained basis
+        serves the probes of one search and is freed after it: resumed
+        probes solve the unpresolved program, and keeping that simplex
+        state through the X step raised the cold benchmark mix's peak
+        memory by about 15 MB.  A later search (another ε) starts cold,
+        with every exact entry of this one still cached."""
+        try:
+            return super().compute_delta(params)
+        finally:
+            self._encoded.release_g_model()
 
     def true_answer(self) -> float:
         """``q(supp(R)) = H_{|P|}`` (Theorem 3) without solving an LP."""

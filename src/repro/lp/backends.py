@@ -17,8 +17,8 @@ mirroring :mod:`repro.mechanisms`:
   :mod:`repro.parallel` fork-after-compile scheme.
 * :class:`PersistentModel` — the base of every persistent model,
   carrying the owner-pid guard (a live solver must never be used across
-  ``fork()``) and the generic RHS-sweep and iteration-budget APIs the
-  Δ-probe race and batched solves are written against.
+  ``fork()``) and the generic RHS-sweep API batched solves are written
+  against.
 * :func:`register` / :func:`get` / :func:`create` / :func:`resolve` /
   :func:`available` / :func:`describe` — the registry.  Backends are
   addressed by name (``"scipy"``, ``"highs"``, ``"gurobi"``); an
@@ -71,30 +71,23 @@ BACKEND_ENV = "REPRO_LP_BACKEND"
 #: measured ``fig5`` timings rank the auto-detected default backend.
 PREFERENCES_ENV = "REPRO_LP_PREFERENCES"
 
-_INT_MAX = 2147483647
-
 
 class PersistentModel:
     """Base of every backend's persistent model.
 
     A persistent model is live solver state built **once** from the
     compiled CSR blocks and then only mutated between solves (a row's
-    bounds, a few objective entries).  Two invariants are enforced here
-    rather than per backend:
+    bounds, a few objective entries).  **Fork safety** is enforced here
+    rather than per backend: live solver state must never be driven from
+    a process other than the one that built it (copy-on-write pages
+    would be mutated in several processes at once).  Every mutating
+    entry point calls :meth:`_assert_owner`, turning silent cross-fork
+    misuse into a loud :class:`~repro.errors.LPError`; forked workers
+    drop inherited models via ``CompiledProgram.fork_reset`` and rebuild
+    their own lazily.
 
-    * **fork safety** — live solver state must never be driven from a
-      process other than the one that built it (copy-on-write pages
-      would be mutated in several processes at once).  Every mutating
-      entry point calls :meth:`_assert_owner`, turning silent cross-fork
-      misuse into a loud :class:`~repro.errors.LPError`; forked workers
-      drop inherited models via ``CompiledProgram.fork_reset`` and
-      rebuild their own lazily.
-    * **iteration budgets** — the Δ-probe race throttles both strands
-      through :meth:`set_iteration_limit` / :meth:`restore_iteration_limits`
-      without knowing the backend's native option names.
-
-    Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`,
-    :meth:`solve` and :meth:`set_iteration_limit`.
+    Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`
+    and :meth:`solve`.
     """
 
     #: backend name carried into error messages (set by the builder)
@@ -104,9 +97,6 @@ class PersistentModel:
         self._owner_pid = os.getpid()
         #: iterations of the most recent :meth:`solve`
         self.last_iteration_count = 0
-        #: the configured per-solve budget ceiling (restored after
-        #: temporary overrides by :meth:`restore_iteration_limits`)
-        self.base_iteration_limit = _INT_MAX
 
     def _assert_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -126,23 +116,17 @@ class PersistentModel:
         """Overwrite the objective coefficients of the given columns."""
         raise NotImplementedError
 
-    def solve(self, resume: bool = False, warm_values=None) -> LPSolution:
+    def solve(self, resume: bool = False) -> LPSolution:
         """Solve the current model state.
 
-        ``resume`` continues from the previous basis where the backend
-        supports it; ``warm_values`` primes a primal starting point.
-        Backends without those capabilities may ignore both — results
-        must not depend on them, only wall-clock.
+        ``resume=True`` re-solves from the basis the previous solve left,
+        where the backend advertises ``supports_warm_start``; otherwise
+        the state is cleared first.  Backends without the capability
+        ignore ``resume``.  A resumed optimum may differ from a cold one
+        in the last bits, so only callers that consume values through
+        threshold decisions (the Δ search's G probes) resume.
         """
         raise NotImplementedError
-
-    def set_iteration_limit(self, limit: int) -> None:
-        """Cap the next solve's iterations (Δ-probe race budgets)."""
-        raise NotImplementedError
-
-    def restore_iteration_limits(self) -> None:
-        """Undo :meth:`set_iteration_limit` back to the configured caps."""
-        self.set_iteration_limit(self.base_iteration_limit)
 
     # -- batched solves ------------------------------------------------------
     def solve_rhs_sweep(self, row: int, values) -> List[LPSolution]:
@@ -186,8 +170,9 @@ class SolverBackend:
         :meth:`PersistentModel.solve_rhs_sweep` (one backend call) when
         running in-process.
     ``supports_warm_start``
-        Whether :meth:`PersistentModel.solve` honors ``resume=True`` /
-        ``warm_values`` — required by the in-process Δ-probe budget race.
+        Whether :meth:`PersistentModel.solve` honors ``resume=True``,
+        i.e. re-solves from the basis retained from the previous solve
+        (the Δ search's G probes use it).
     ``preference``
         Auto-detect rank (higher wins among available backends); encodes
         measured performance on the epigraph workload.

@@ -128,7 +128,6 @@ class GurobiModel(PersistentModel):  # pragma: no cover - needs gurobipy
         self._vars = x
         self._model = model
         if iteration_limit is not None:
-            self.base_iteration_limit = int(iteration_limit)
             model.setParam("IterationLimit", float(iteration_limit))
 
     # -- per-solve mutations -------------------------------------------------
@@ -147,19 +146,13 @@ class GurobiModel(PersistentModel):  # pragma: no cover - needs gurobipy
         for index, value in zip(np.asarray(indices), np.asarray(values)):
             self._vars[int(index)].Obj = float(value)
 
-    def set_iteration_limit(self, limit: int) -> None:
-        self._model.setParam("IterationLimit", float(limit))
-
     # -- solving -------------------------------------------------------------
-    def solve(
-        self, resume: bool = False, warm_values: Optional[np.ndarray] = None
-    ) -> LPSolution:
+    def solve(self, resume: bool = False) -> LPSolution:
         self._assert_owner()
         gp = self._gp
         if not resume:
-            # cold start per solve, mirroring the HiGHS engine; a bare
-            # primal point is not a usable LP warm start without a basis,
-            # so warm_values is accepted (contract) but not applied
+            # cold start, mirroring the HiGHS engine; without a reset
+            # Gurobi re-solves from the previous basis
             self._model.reset()
         self._model.optimize()
         code = self._model.Status

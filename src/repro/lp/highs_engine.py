@@ -8,10 +8,13 @@ SciPy ships the underlying highspy-style bindings as
 into a HiGHS instance **once** and then only mutates the handful of numbers
 that change between solves (a row's bounds, a few objective entries).
 
-Each solve still starts from a cleared solver state (``clearSolver``), i.e.
-cold with presolve: on the heavily degenerate epigraph LPs a warm simplex
-basis skips presolve and is measurably *slower* than a fresh presolved
-solve, so we keep the model reuse and drop the basis reuse.
+A plain solve starts from a cleared solver state (``clearSolver``), i.e.
+cold with presolve.  ``solve(resume=True)`` instead keeps the optimal
+basis of the previous solve and runs dual simplex from it, whatever code
+the first solve used (interior point ends on a basis through crossover).
+Only the Δ search's G probes resume: consecutive probes change nothing
+but the mass-row bounds, so the old basis stays dual feasible and a few
+pivots restore optimality.
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
 lazy, cached probe: :func:`engine_available` answers cheaply after the
@@ -180,15 +183,8 @@ class PersistentLP(PersistentModel):
                     OptimizeWarning,
                     stacklevel=3,
                 )
-        #: the configured iteration caps, restored after temporary overrides
-        self.base_simplex_limit = int(
-            (options or {}).get("simplex_iteration_limit", 2147483647)
-        )
-        self.base_ipm_limit = int(
-            (options or {}).get("ipm_iteration_limit", 2147483647)
-        )
-        #: the tighter of the two — the effective per-solve budget ceiling
-        self.base_iteration_limit = min(self.base_simplex_limit, self.base_ipm_limit)
+        # the configured code of a cold solve (a resumed one is simplex)
+        self._cold_solver = str((options or {}).get("solver", "choose"))
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
                 f"[lp-backend {self.backend_name}] HiGHS rejected the " "compiled model"
@@ -206,39 +202,21 @@ class PersistentLP(PersistentModel):
         idx = np.asarray(indices, dtype=np.int32)
         self._solver.changeColsCost(len(idx), idx, np.asarray(values, dtype=float))
 
-    def set_option(self, key: str, value) -> None:
-        """Set a HiGHS option (e.g. a temporary iteration budget)."""
-        self._solver.setOptionValue(key, value)
-
-    def set_iteration_limit(self, limit: int) -> None:
-        """Cap both codes' iterations for the next solve (race budgets)."""
-        self.set_option("simplex_iteration_limit", int(limit))
-        self.set_option("ipm_iteration_limit", int(limit))
-
-    def restore_iteration_limits(self) -> None:
-        self.set_option("simplex_iteration_limit", self.base_simplex_limit)
-        self.set_option("ipm_iteration_limit", self.base_ipm_limit)
-
     # -- solving -------------------------------------------------------------
-    def solve(
-        self, resume: bool = False, warm_values: Optional[np.ndarray] = None
-    ) -> LPSolution:
+    def solve(self, resume: bool = False) -> LPSolution:
         """Solve; statuses match the canonical set (:mod:`repro.lp.status`).
 
-        ``resume=True`` keeps the solver state from the previous ``run``
-        so an iteration-limited solve continues warm instead of starting
-        over — the building block of the Δ-probe race.  ``warm_values``
-        (ignored when resuming) seeds a fresh solve with a primal point,
-        e.g. the optimum of a neighboring Δ-search probe.
+        ``resume=True`` keeps the basis of the previous ``run`` and
+        re-solves from it with the simplex code; otherwise the solver
+        state is cleared and the configured code (e.g. interior point on
+        large programs) starts over.
         """
         self._assert_owner()
+        self._solver.setOptionValue(
+            "solver", "simplex" if resume else self._cold_solver
+        )
         if not resume:
             self._solver.clearSolver()
-            if warm_values is not None and len(warm_values) == self.num_cols:
-                warm = _core.HighsSolution()
-                warm.col_value = np.asarray(warm_values, dtype=float)
-                warm.value_valid = True
-                self._solver.setSolution(warm)
         run_status = self._solver.run()
         model_status = self._solver.getModelStatus()
         name = _status_name(model_status)
@@ -280,6 +258,7 @@ class HighsBackend(ScipyBackend):
     aliases = ("persistent", "highspy")
     supports_persistent = True
     supports_multi_rhs = True
+    #: re-solves from a retained basis (``PersistentLP.solve(resume=True)``)
     supports_warm_start = True
     #: measured winner on this workload: model reuse beats per-call
     #: linprog assembly ~2.6× on the fig5 sweep (see BENCH_backends.json)

@@ -492,17 +492,15 @@ class EncodedRelation:
         self._check(solution, f"G_{i}")
         return max(0.0, 2.0 * float(solution.objective))
 
-    def g_decide(self, i: float, threshold: float, workers: int = 1):
+    def g_decide(self, i: float, threshold: float):
         """The exact predicate ``G_i ≤ threshold`` as ``(bool, G or None)``.
 
-        The Δ binary search (Sec. 5.3) only consumes threshold tests, so
-        the compiled path races a pure feasibility probe — the Eq. 19
-        polytope with ``z`` pinned at ``threshold/2`` — against the exact
-        min-max solve (see ``CompiledProgram.solve_g_decide``); with
-        ``workers >= 2`` the two strands run concurrently in forked
-        processes, first decided wins.  When the exact strand wins, its
-        value is returned for the caller to cache.  Falls back to an
-        exact ``solve_g`` comparison on the legacy path.
+        The Δ binary search (Sec. 5.3) only consumes threshold tests.  The
+        compiled path answers them with an exact ``G_i`` solve on the one
+        G model, which resumes from the basis of the previous probe (see
+        ``CompiledProgram.solve_g_decide``); the legacy path compares an
+        exact ``solve_g``.  The value comes back for the caller to cache;
+        it is None only for a negative threshold, decided with no solve.
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
@@ -514,11 +512,15 @@ class EncodedRelation:
             full = self._g_full()
             return full <= threshold, full
         if self._compiled is not None:
-            return self._compiled.solve_g_decide(
-                float(i), float(threshold), workers=workers
-            )
+            return self._compiled.solve_g_decide(float(i), float(threshold))
         value = self.solve_g(i)
         return value <= threshold, value
+
+    def release_g_model(self) -> None:
+        """Free the compiled G model's solver state (see
+        ``CompiledProgram.release_g_model``); a no-op on the legacy path."""
+        if self._compiled is not None:
+            self._compiled.release_g_model()
 
     def g_leq(self, i: float, threshold: float) -> bool:
         """Boolean form of :meth:`g_decide`."""

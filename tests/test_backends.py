@@ -162,6 +162,68 @@ class TestBackendContract:
         # scipy path never builds persistent models
         assert program._h_model is None
 
+    def test_warm_start_means_resolving_from_a_retained_basis(self):
+        assert backends.get("scipy").supports_warm_start is False
+        if "highs" not in AVAILABLE:
+            pytest.skip("scipy HiGHS bindings unavailable")
+        assert backends.get("highs").supports_warm_start is True
+        program = _g_program("highs")
+        index = program.num_participants / 2.0
+        cold = program.solve_g(index)
+        model = program._g_model
+        assert model.last_iteration_count > 0
+        # same bounds: the retained basis is already optimal
+        resumed = model.solve(resume=True)
+        assert model.last_iteration_count == 0
+        assert resumed.objective == pytest.approx(cold.objective, abs=1e-9)
+        # the G overlay resumes on its own from the second solve on
+        program.solve_g(index + 1.0)
+        assert program.solve_g(index + 1.0).is_optimal
+        assert model.last_iteration_count == 0
+
+    def test_failed_resume_retries_cold_once_then_raises(self):
+        if "highs" not in AVAILABLE:
+            pytest.skip("scipy HiGHS bindings unavailable")
+        program = _g_program("highs")
+        index = program.num_participants / 2.0
+        expected = program.solve_g(index).objective
+        model = program._g_model
+        real_solve = model.solve
+        calls = []
+
+        def resume_fails(resume=False):
+            calls.append(resume)
+            if resume:
+                return _failed_solution()
+            return real_solve()
+
+        model.solve = resume_fails
+        assert program.solve_g(index).objective == expected
+        assert calls == [True, False]
+
+        model.solve = lambda resume=False: _failed_solution()
+        with pytest.raises(LPError, match="probe failed: error"):
+            program.solve_g_decide(index, 1.0)
+
+
+def _g_program(backend):
+    """A compiled triangle/edge program whose G solves take pivots (on
+    smaller graphs presolve alone solves them)."""
+    from repro.core.efficient import EfficientRecursiveMechanism
+    from repro.subgraphs import subgraph_krelation
+
+    graph = random_graph_with_avg_degree(30, 6.0, rng=2)
+    relation = subgraph_krelation(graph, triangle(), privacy="edge")
+    return EfficientRecursiveMechanism(relation, backend=backend)._encoded._compiled
+
+
+def _failed_solution():
+    import numpy as np
+
+    from repro.lp.model import LPSolution
+
+    return LPSolution(status.ERROR, float("nan"), np.zeros(0))
+
 
 class TestStatusVocabulary:
     def test_canonical_accepts_all_constants(self):

@@ -658,6 +658,25 @@ class TestServingIntegration:
         after = _histogram_count("repro_lp_solve_seconds", overlay="h")
         assert after == before + 1
 
+    def test_delta_search_solves_and_predicates_are_recorded(self):
+        graph = random_graph_with_avg_degree(30, 6, rng=11)
+
+        def counts():
+            return (
+                _histogram_count("repro_lp_solve_seconds", overlay="g"),
+                _counter_total("repro_delta_predicates_total", decided="bound"),
+                _counter_total("repro_delta_predicates_total", decided="lp"),
+            )
+
+        before = counts()
+        result = PrivateSession(graph).query(
+            "triangle", epsilon=1.0, privacy="edge", rng=3
+        )
+        g_solves, bound, lp = (a - b for a, b in zip(counts(), before))
+        assert g_solves >= 1
+        assert lp >= 1
+        assert bound + lp == result.diagnostics["g_predicates_evaluated"]
+
     def test_pool_tasks_merge_into_parent_registry(self, identity_graph):
         tasks_before = _counter_total("repro_pool_tasks_total")
         releases_before = _histogram_count("repro_release_seconds")

@@ -4,7 +4,7 @@ Pins the three guarantees of ``repro.parallel``:
 
 * **determinism** — released answers are byte-identical between serial
   (``workers=1``) and parallel (``workers=k``) execution at a fixed seed,
-  for trial sharding, sweep-grid sharding, and the Δ-probe process race;
+  for trial sharding, sweep-grid sharding, and batched overlay solves;
 * **fork-safety** — persistent HiGHS models never cross the fork: each
   worker re-instantiates its own lazily, and using a parent's model from
   a child raises instead of corrupting shared solver state;
@@ -30,13 +30,7 @@ from repro.experiments.mechanisms import make_runner
 from repro.experiments.runtime import fig5_runtime_sweep
 from repro.graphs import random_graph_with_avg_degree
 from repro.lp.highs_engine import engine_available
-from repro.parallel import (
-    StrandError,
-    first_decided,
-    fork_available,
-    map_tasks,
-    resolve_workers,
-)
+from repro.parallel import fork_available, map_tasks, resolve_workers
 from repro.rng import spawn_seed_sequences
 from repro.subgraphs import subgraph_krelation, triangle
 
@@ -185,32 +179,6 @@ class TestWorkerPoolShutdown:
             pool.submit(0.0)
 
 
-def _fast_strand():
-    return 42
-
-
-def _slow_strand():
-    import time
-
-    time.sleep(30)
-    return 0
-
-
-def _failing_strand():
-    raise RuntimeError("strand broke")
-
-
-@needs_fork
-class TestFirstDecided:
-    def test_fast_strand_wins_and_loser_dies(self):
-        name, value = first_decided([("slow", _slow_strand), ("fast", _fast_strand)])
-        assert (name, value) == ("fast", 42)
-
-    def test_all_failures_raise(self):
-        with pytest.raises(StrandError, match="strand broke"):
-            first_decided([("a", _failing_strand), ("b", _failing_strand)])
-
-
 class TestSpawnSeedSequences:
     def test_deterministic_from_int(self):
         a = [s.generate_state(2).tolist() for s in spawn_seed_sequences(11, 4)]
@@ -312,7 +280,6 @@ class TestForkSafety:
         assert program._h_model is None
         assert program._g_model is None
         assert program._x_model is None
-        assert program._feas_model is None
 
 
 @needs_fork
@@ -336,18 +303,20 @@ class TestSolveManyAndRace:
         assert [s.objective for s in batched] == [s.objective for s in pointwise]
 
     def test_race_matches_serial_decision(self, small_graph):
+        """Δ-probe decisions do not depend on the probe history: the G
+        model resuming from earlier probes' bases decides like a fresh
+        model whose first solve is the probe."""
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-        serial = EfficientRecursiveMechanism(relation)._encoded
-        parallel = EfficientRecursiveMechanism(relation)._encoded
-        n = serial.num_participants
-        full = serial.solve_g(n)
+        resumed = EfficientRecursiveMechanism(relation)._encoded
+        n = resumed.num_participants
+        full = resumed.solve_g(n)
         for i in (n // 3, n // 2, 2 * n // 3):
             for threshold in (0.25 * full, 0.5 * full, 0.9 * full):
-                expected, _ = serial.g_decide(float(i), threshold, workers=1)
-                decided, value = parallel.g_decide(float(i), threshold, workers=2)
+                fresh = EfficientRecursiveMechanism(relation)._encoded
+                expected, _ = fresh.g_decide(float(i), threshold)
+                decided, value = resumed.g_decide(float(i), threshold)
                 assert decided == expected, (i, threshold)
-                if value is not None:
-                    assert (value <= threshold) == decided
+                assert (value <= threshold) == decided
 
     def test_nested_parallelism_demotes_in_daemonic_workers(self, small_graph):
         """A workers>=2 mechanism must run inside a pool shard (where
@@ -373,8 +342,8 @@ class TestCrossBackendIdentity:
 
     The registry may route solves through pure ``linprog``, the persistent
     HiGHS engine, or Gurobi — but at a fixed seed the mechanism's noise and
-    its deterministic intermediates (Δ-probe race decisions, batched
-    ``solve_many`` objectives) must not depend on which backend ran.
+    its deterministic intermediates (batched ``solve_many`` objectives)
+    must not depend on which backend ran.
     """
 
     def _backends(self):
@@ -390,20 +359,6 @@ class TestCrossBackendIdentity:
             outcome = mech.run(RecursiveMechanismParams.paper(0.5), 17)
             results[name] = (outcome.answer, outcome.delta_hat)
         assert len(set(results.values())) == 1, results
-
-    def test_g_decide_race_identical(self, small_graph):
-        relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-        decisions = {}
-        for name in self._backends():
-            encoded = EfficientRecursiveMechanism(relation, backend=name)._encoded
-            n = encoded.num_participants
-            full = encoded.solve_g(n)
-            decisions[name] = tuple(
-                encoded.g_decide(float(i), threshold, workers=1)[0]
-                for i in (n // 3, n // 2, 2 * n // 3)
-                for threshold in (0.25 * full, 0.5 * full, 0.9 * full)
-            )
-        assert len(set(decisions.values())) == 1, decisions
 
     def test_solve_many_identical(self, small_graph):
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
